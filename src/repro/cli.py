@@ -85,7 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--max-steps", type=int, default=200_000)
     sim.add_argument("--engine", choices=["object", "kernel"], default="object",
                      help="execution engine: classic object loop or the "
-                          "flat step kernel (identical executions)")
+                          "flat step kernel (identical executions; the "
+                          "kernel runs the stock adversaries, any other "
+                          "runs the object loop)")
 
     atk = sub.add_parser("attack", help="stage the Section 3 replay attack")
     atk.add_argument("--protocol", default="paper",
@@ -176,7 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--engine", choices=["object", "kernel"],
                       default="object",
                       help="execution engine for every run (identical "
-                           "executions; kernel is several times faster)")
+                           "executions; kernel is several times faster). "
+                           "Single-link runs with a fault plan or "
+                           "corruption use the object loop either way")
     _add_topology_options(camp)
 
     shr = sub.add_parser("shrink", help="minimize a failing repro (seed + plan)")

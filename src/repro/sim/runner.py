@@ -72,6 +72,8 @@ class RunSpec:
     stabilization_window: int = 8
     # Execution engine: "object" (classic loop) or "kernel" (flat
     # slot-indexed step kernel; identical executions, several times faster).
+    # The kernel runs stock Reliable/RandomFault adversaries; every other
+    # adversary (fault plans, corruption) runs the object loop either way.
     engine: str = "object"
 
     @classmethod

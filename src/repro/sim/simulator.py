@@ -147,9 +147,13 @@ class Simulator:
         runs the flat slot-indexed step kernel (:mod:`repro.kernel`),
         which produces the identical execution — same trace events, same
         RNG draws, same verdicts — several times faster.  The kernel
-        borrows the stations'/channels'/adversary's state for the run and
-        syncs it back afterwards, so everything observable through this
-        class behaves the same either way.
+        covers the stock ``ReliableAdversary``/``RandomFaultAdversary``
+        (bare or fairness-wrapped); every other adversary (fault plans,
+        state corruption, subclasses) runs the object loop under either
+        setting, with identical results.  The kernel borrows the
+        stations'/channels'/adversary's state for the run and syncs it
+        back afterwards, so everything observable through this class
+        behaves the same either way.
     """
 
     def __init__(
@@ -309,7 +313,11 @@ class Simulator:
         if self._engine == "kernel":
             from repro.kernel.engine import run_kernel
 
-            return run_kernel(self)
+            # The kernel declines (None) adversaries it has no precompiled
+            # mode for; those run on the object loop below.
+            result = run_kernel(self)
+            if result is not None:
+                return result
         # A prior kernel run on this simulator may have parked flat packet
         # tuples on the channels; the object loop works on packet objects.
         self._channels.t_to_r._materialize()

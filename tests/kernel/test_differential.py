@@ -13,6 +13,7 @@ settings and truncated (max_steps-bounded) runs.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.adversary.benign import DelayedFifoAdversary, ReliableAdversary
 from repro.adversary.corruption import StateCorruptionAdversary
@@ -32,7 +33,8 @@ from repro.resilience.faultplan import (
     StallWindow,
     apply_fault_plan,
 )
-from repro.sim.runner import RunSpec, run_once
+from repro.kernel import engine as kernel_engine
+from repro.sim.runner import RunSession, RunSpec, run_once
 
 SEEDS = [0, 1, 7, 42, 1234]
 
@@ -358,6 +360,124 @@ class TestStreamingFastPath:
                                 enforce_fairness=False), seed)
         )
         assert obj == ker
+
+
+class TestDispatch:
+    """The kernel's one loop, ``_run_fast``, runs the stock adversaries;
+    every other adversary runs the object loop under ``engine="kernel"``."""
+
+    @pytest.fixture
+    def fast_modes(self, monkeypatch):
+        modes = []
+        real = kernel_engine._run_fast
+
+        def spy(sim, mode):
+            modes.append(mode)
+            return real(sim, mode)
+
+        monkeypatch.setattr(kernel_engine, "_run_fast", spy)
+        return modes
+
+    @pytest.mark.parametrize("enforce_fairness", [True, False])
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            ReliableAdversary,
+            lambda: RandomFaultAdversary(FaultProfile(loss=0.1)),
+        ],
+        ids=["reliable", "random"],
+    )
+    def test_stock_adversaries_enter_fast_loop(
+        self, fast_modes, factory, enforce_fairness
+    ):
+        run_once(
+            build_spec(factory, "kernel", enforce_fairness=enforce_fairness,
+                       messages=5),
+            3,
+        )
+        assert len(fast_modes) == 1
+
+    def test_state_corruption_runs_object_loop(self, fast_modes):
+        factory = lambda: StateCorruptionAdversary(rate_t=0.01, rate_r=0.01)
+        assert_equivalent(factory, 4, stabilization=True, max_steps=30_000)
+        assert fast_modes == []
+
+    def test_fault_plan_runs_object_loop(self, fast_modes):
+        plan = FaultPlan.of(
+            DropWindow(start=5, end=25),
+            CrashAt(step=40, station="R"),
+        )
+        assert_equivalent(ReliableAdversary, 4, fault_plan=plan)
+        assert fast_modes == []
+
+    def test_recycled_session_alternates_loops(self, fast_modes):
+        # A campaign session recycles one simulator: a stock run parks
+        # flat channel stores, then a fault-plan run on the same
+        # simulator must still match a fresh object-engine run.
+        plan = FaultPlan.of(
+            DropWindow(start=3, end=12),
+            CrashAt(step=20, station="T"),
+        )
+        session = RunSession(build_spec(ReliableAdversary, "kernel"))
+        session.run(5)
+        planned = build_spec(ReliableAdversary, "kernel", fault_plan=plan)
+        recycled = snapshot(session.run(6, planned.adversary_factory))
+        fresh = snapshot(run_once(
+            build_spec(ReliableAdversary, "object", fault_plan=plan), 6
+        ))
+        assert len(fast_modes) == 1
+        assert recycled == fresh
+
+
+fault_profiles = st.builds(
+    FaultProfile,
+    loss=st.floats(min_value=0.0, max_value=0.5),
+    duplicate=st.floats(min_value=0.0, max_value=0.3),
+    reorder=st.floats(min_value=0.0, max_value=0.3),
+    crash_t=st.floats(min_value=0.0, max_value=0.01),
+    crash_r=st.floats(min_value=0.0, max_value=0.01),
+)
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    profile=fault_profiles,
+    enforce_fairness=st.booleans(),
+    fairness_patience=st.integers(min_value=1, max_value=64),
+    retain=st.sampled_from(["full", "none"]),
+    messages=st.integers(min_value=0, max_value=12),
+    max_steps=st.integers(min_value=1, max_value=20_000),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+def test_engines_agree_on_drawn_runs(
+    profile, enforce_fairness, fairness_patience, retain, messages,
+    max_steps, seed,
+):
+    """Fuzzed differential over ``_run_fast``: drawn fault profiles,
+    fairness, retention, stream length and step budget."""
+    factory = lambda: RandomFaultAdversary(profile)
+    overrides = dict(
+        enforce_fairness=enforce_fairness,
+        fairness_patience=fairness_patience,
+        retain=retain,
+        messages=messages,
+        max_steps=max_steps,
+    )
+    if retain == "full":
+        assert_equivalent(factory, seed, **overrides)
+        return
+    obj = streaming_snapshot(
+        run_once(build_spec(factory, "object", **overrides), seed)
+    )
+    ker = streaming_snapshot(
+        run_once(build_spec(factory, "kernel", **overrides), seed)
+    )
+    assert obj == ker
 
 
 class TestVeneerSync:

@@ -265,10 +265,36 @@ class TestTopologyEngineOptions:
         assert "ok" in out
 
 
+def _stub_relay_bench(monkeypatch, relay_kernel_speedup=4.5):
+    """Make ``run_relay_bench`` return a fixed quick payload (no timing)."""
+    import repro.perf.bench as bench
+
+    payload = {
+        "schema": 1,
+        "quick": True,
+        "config": {"relay_messages": 40, "base_seed": 0},
+        "host": {"python": "3", "platform": "fixed"},
+        "results": {},
+        "ratios": {
+            "relay_hop_efficiency": 1.2,
+            "relay_kernel_speedup": relay_kernel_speedup,
+            "relay_stripe_speedup": 1.8,
+        },
+    }
+    monkeypatch.setattr(
+        bench, "run_relay_bench", lambda quick=False, base_seed=0: payload
+    )
+
+
 class TestBenchQuickOutGuard:
-    def test_quick_does_not_clobber_full_baseline(self, tmp_path, capsys):
+    """The ``--out`` merge guard, on a stubbed relay payload."""
+
+    def test_quick_does_not_clobber_full_baseline(
+        self, tmp_path, capsys, monkeypatch
+    ):
         import json
 
+        _stub_relay_bench(monkeypatch)
         out_path = tmp_path / "BENCH.json"
         # A committed full-run baseline (quick=false) with a ratio a
         # quick re-record must not overwrite.
@@ -286,9 +312,10 @@ class TestBenchQuickOutGuard:
         assert merged["quick_smoke"]["quick"] is True
         assert "relay_kernel_speedup" in merged["quick_smoke"]["ratios"]
 
-    def test_quick_writes_fresh_file_directly(self, tmp_path):
+    def test_quick_writes_fresh_file_directly(self, tmp_path, monkeypatch):
         import json
 
+        _stub_relay_bench(monkeypatch)
         out_path = tmp_path / "BENCH.json"
         code = main([
             "bench", "--only", "relay", "--quick", "--out", str(out_path),
@@ -297,3 +324,23 @@ class TestBenchQuickOutGuard:
         payload = json.loads(out_path.read_text())
         assert payload["quick"] is True
         assert "quick_smoke" not in payload
+
+    def test_quick_below_floor_fails_after_merging(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import json
+
+        _stub_relay_bench(monkeypatch, relay_kernel_speedup=3.9)
+        out_path = tmp_path / "BENCH.json"
+        baseline = {"schema": 1, "quick": False,
+                    "ratios": {"relay_hop_efficiency": 1.23}}
+        out_path.write_text(json.dumps(baseline))
+        code = main([
+            "bench", "--only", "relay", "--quick", "--out", str(out_path),
+        ])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION relay_kernel_speedup: 3.90 fell below" in out
+        merged = json.loads(out_path.read_text())
+        assert merged["ratios"] == {"relay_hop_efficiency": 1.23}
+        assert merged["quick_smoke"]["ratios"]["relay_kernel_speedup"] == 3.9
