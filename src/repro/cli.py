@@ -83,11 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-turn crash probability for each station")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--max-steps", type=int, default=200_000)
-    sim.add_argument("--engine", choices=["object", "kernel"], default="object",
-                     help="execution engine: classic object loop or the "
-                          "flat step kernel (identical executions; the "
-                          "kernel runs the stock adversaries, any other "
-                          "runs the object loop)")
+    sim.add_argument("--engine", choices=["object", "kernel"], default="kernel",
+                     help="execution engine: the flat step kernel "
+                          "(default) or the classic object loop, the "
+                          "reference (identical executions; the kernel "
+                          "runs the stock adversaries, any other runs "
+                          "the object loop)")
 
     atk = sub.add_parser("attack", help="stage the Section 3 replay attack")
     atk.add_argument("--protocol", default="paper",
@@ -176,9 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--tail-size", type=int, default=256,
                       help="ring-buffer size for --retain tail")
     camp.add_argument("--engine", choices=["object", "kernel"],
-                      default="object",
-                      help="execution engine for every run (identical "
-                           "executions; kernel is several times faster). "
+                      default="kernel",
+                      help="execution engine for every run: the step "
+                           "kernel (default, several times faster) or the "
+                           "reference object loop (identical executions). "
                            "Single-link runs with a fault plan or "
                            "corruption use the object loop either way")
     _add_topology_options(camp)
@@ -206,9 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     shr.add_argument("--out", default=None,
                      help="write the minimal fault plan JSON here")
     shr.add_argument("--engine", choices=["object", "kernel"],
-                     default="object",
-                     help="execution engine for probe runs (fabric only; "
-                          "identical executions)")
+                     default="kernel",
+                     help="execution engine for probe runs: the step "
+                          "kernel (default) or the reference object loop "
+                          "(fabric only; identical executions)")
     _add_topology_options(shr)
 
     live = sub.add_parser(
@@ -309,7 +312,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         SequentialWorkload(args.messages),
         seed=args.seed,
         max_steps=args.max_steps,
-        engine=getattr(args, "engine", "object"),
+        engine=getattr(args, "engine", "kernel"),
     )
     result = simulator.run()
     report = check_all_safety(result.trace)
@@ -460,7 +463,7 @@ def _fabric_spec(args: argparse.Namespace, messages: int):
         label=getattr(args, "label", "") or f"fabric-{args.topology}",
         retain=getattr(args, "retain", "none"),
         tail_size=getattr(args, "tail_size", 256),
-        engine=getattr(args, "engine", "object"),
+        engine=getattr(args, "engine", "kernel"),
         paths=getattr(args, "paths", 1),
     )
 
@@ -508,7 +511,7 @@ def _campaign_spec(args: argparse.Namespace, messages: int) -> RunSpec:
         tail_size=getattr(args, "tail_size", 256),
         stabilization=bool(corrupt_rate),
         stabilization_window=getattr(args, "corrupt_window", 8),
-        engine=getattr(args, "engine", "object"),
+        engine=getattr(args, "engine", "kernel"),
     )
 
 

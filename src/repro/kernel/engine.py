@@ -25,6 +25,8 @@ small preallocated containers:
   Every other adversary (scripted fault plans, state corruption, custom
   subclasses) has no mode: ``run_kernel`` declines it and the
   simulator's own object loop runs it instead, with identical results.
+  Stations other than the exact ``Transmitter``/``Receiver`` classes
+  (baseline protocols, subclasses) are declined the same way.
 
 The veneer contract: the kernel *borrows* the state of the installed
 objects at entry and *returns* it at exit.  Every station attribute,
@@ -34,6 +36,10 @@ returned, so checkers, forensics, campaign plumbing and subsequent
 ``reset()``/``run()`` cycles observe exactly what the object engine
 would have produced.  Differential tests (tests/kernel/) pin the two
 engines to identical event traces per seed across the fault-plan zoo.
+
+The kernel is the default engine (``Simulator(engine="kernel")``).  The
+simulator's object loop stays as the reference those tests pin it
+against and as the fallback for every run declined here.
 """
 
 from collections import deque
@@ -62,6 +68,8 @@ from repro.core.events import (
     make_send_msg,
 )
 from repro.core.exceptions import AxiomViolationError, UnknownPacketError
+from repro.core.receiver import Receiver
+from repro.core.transmitter import Transmitter
 
 _T_TO_R = ChannelId.T_TO_R
 _R_TO_T = ChannelId.R_TO_T
@@ -107,8 +115,15 @@ def run_kernel(sim):
     ``run()`` handles construction/reset and dispatches here).
 
     Returns ``None`` without touching ``sim`` when the adversary has no
-    precompiled mode; ``Simulator.run`` then runs its object loop.
+    precompiled mode or the stations are not the paper's exact
+    ``Transmitter``/``Receiver`` (baseline protocols and subclasses keep
+    their state elsewhere); ``Simulator.run`` then runs its object loop.
     """
+    if (
+        type(sim._transmitter) is not Transmitter
+        or type(sim._receiver) is not Receiver
+    ):
+        return None
     mode = _classify_adversary(sim)
     if mode is None:
         return None

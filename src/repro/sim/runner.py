@@ -70,11 +70,13 @@ class RunSpec:
     # accounting is suspended during corruption probation windows.
     stabilization: bool = False
     stabilization_window: int = 8
-    # Execution engine: "object" (classic loop) or "kernel" (flat
-    # slot-indexed step kernel; identical executions, several times faster).
-    # The kernel runs stock Reliable/RandomFault adversaries; every other
-    # adversary (fault plans, corruption) runs the object loop either way.
-    engine: str = "object"
+    # Execution engine: "kernel" (default; the flat slot-indexed step
+    # kernel, several times faster) or "object" (the classic loop, kept as
+    # the differential oracle).  Both produce identical executions.  The
+    # kernel runs the paper's stations under stock Reliable/RandomFault
+    # adversaries; everything else (fault plans, corruption, baseline
+    # protocols) runs the object loop either way.
+    engine: str = "kernel"
 
     @classmethod
     def default(

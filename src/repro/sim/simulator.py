@@ -143,16 +143,18 @@ class Simulator:
         Forwarded to :class:`MetricsCollector`; default keeps the series
         only under ``retain="full"``.
     engine:
-        ``"object"`` runs the classic per-object loop below; ``"kernel"``
-        runs the flat slot-indexed step kernel (:mod:`repro.kernel`),
-        which produces the identical execution — same trace events, same
-        RNG draws, same verdicts — several times faster.  The kernel
-        covers the stock ``ReliableAdversary``/``RandomFaultAdversary``
-        (bare or fairness-wrapped); every other adversary (fault plans,
-        state corruption, subclasses) runs the object loop under either
-        setting, with identical results.  The kernel borrows the
-        stations'/channels'/adversary's state for the run and syncs it
-        back afterwards, so everything observable through this class
+        ``"kernel"`` (the default) runs the flat slot-indexed step kernel
+        (:mod:`repro.kernel`); ``"object"`` runs the classic per-object
+        loop below, which the differential tests use as the reference.
+        Both produce the identical execution — same trace events, same
+        RNG draws, same verdicts — the kernel several times faster.  The
+        kernel covers the paper's ``Transmitter``/``Receiver`` under the
+        stock ``ReliableAdversary``/``RandomFaultAdversary`` (bare or
+        fairness-wrapped); everything else (fault plans, state
+        corruption, subclasses, baseline protocols) runs the object loop
+        under either setting, with identical results.  The kernel borrows
+        the stations'/channels'/adversary's state for the run and syncs
+        it back afterwards, so everything observable through this class
         behaves the same either way.
     """
 
@@ -171,7 +173,7 @@ class Simulator:
         checks: Optional[StreamingChecks] = None,
         storage_sample_every: Optional[int] = None,
         keep_storage_samples: Optional[bool] = None,
-        engine: str = "object",
+        engine: str = "kernel",
     ) -> None:
         if retry_every < 1:
             raise ValueError("retry_every must be >= 1")
@@ -314,7 +316,8 @@ class Simulator:
             from repro.kernel.engine import run_kernel
 
             # The kernel declines (None) adversaries it has no precompiled
-            # mode for; those run on the object loop below.
+            # mode for and non-paper stations; those run the object loop
+            # below.
             result = run_kernel(self)
             if result is not None:
                 return result

@@ -151,7 +151,7 @@ class _LinkSimulator(Simulator):
         seed: int,
         epsilon: float,
         retry_every: int,
-        engine: str = "object",
+        engine: str = "kernel",
     ) -> None:
         self.feed: Deque[bytes] = deque()
         self.delivered: Deque[bytes] = deque()
@@ -279,7 +279,7 @@ class FabricSpec:
     label: str = ""
     retain: str = "none"
     tail_size: int = 256
-    engine: str = "object"
+    engine: str = "kernel"
     paths: int = 1
 
     def __post_init__(self) -> None:

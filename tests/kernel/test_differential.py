@@ -12,6 +12,9 @@ corruption with the stabilization monitor attached — plus both fairness
 settings and truncated (max_steps-bounded) runs.
 """
 
+import dataclasses
+import inspect
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -24,6 +27,12 @@ from repro.adversary.random_faults import (
     RandomFaultAdversary,
     ReorderAdversary,
 )
+from repro.baselines import (
+    make_abp_link,
+    make_nonvolatile_bit_link,
+    make_stop_and_wait_link,
+)
+from repro.cli import build_parser
 from repro.resilience.faultplan import (
     CorruptAt,
     CrashAt,
@@ -35,6 +44,8 @@ from repro.resilience.faultplan import (
 )
 from repro.kernel import engine as kernel_engine
 from repro.sim.runner import RunSession, RunSpec, run_once
+from repro.sim.simulator import Simulator
+from repro.transport.fabric import FabricSpec
 
 SEEDS = [0, 1, 7, 42, 1234]
 
@@ -50,7 +61,10 @@ def build_spec(adversary_factory, engine, **overrides):
     )
     options.update(overrides)
     plan = options.pop("fault_plan", None)
+    link_factory = options.pop("link_factory", None)
     spec = RunSpec.default(**options)
+    if link_factory is not None:
+        spec = dataclasses.replace(spec, link_factory=link_factory)
     if plan is not None:
         spec = apply_fault_plan(spec, plan)
     return spec
@@ -97,6 +111,12 @@ def assert_equivalent(adversary_factory, seed, **overrides):
         assert obj[key] == ker[key], f"engines diverge on {key}"
 
 
+def bits_drawn(station):
+    """A station's RNG tape position; baseline protocols draw no coins."""
+    rng = getattr(station, "_rng", None)
+    return None if rng is None else rng.bits_drawn
+
+
 def snapshot(outcome):
     """Extract every deterministic observable of one finished run."""
     result = outcome.result
@@ -131,8 +151,8 @@ def snapshot(outcome):
         "stabilization": stabilization_key(outcome.stabilization),
         "transmitter": repr(t),
         "receiver": repr(r),
-        "t_bits_drawn": t._rng.bits_drawn,
-        "r_bits_drawn": r._rng.bits_drawn,
+        "t_bits_drawn": bits_drawn(t),
+        "r_bits_drawn": bits_drawn(r),
         "t_stats": vars(t.stats).copy(),
         "r_stats": vars(r.stats).copy(),
         "adversary": adv_state,
@@ -307,8 +327,8 @@ def streaming_snapshot(outcome):
         "liveness": outcome.liveness_passed,
         "transmitter": repr(t),
         "receiver": repr(r),
-        "t_bits_drawn": t._rng.bits_drawn,
-        "r_bits_drawn": r._rng.bits_drawn,
+        "t_bits_drawn": bits_drawn(t),
+        "r_bits_drawn": bits_drawn(r),
         "t_stats": vars(t.stats).copy(),
         "r_stats": vars(r.stats).copy(),
     }
@@ -362,21 +382,23 @@ class TestStreamingFastPath:
         assert obj == ker
 
 
+@pytest.fixture
+def fast_modes(monkeypatch):
+    """Records the adversary mode of every ``_run_fast`` entry."""
+    modes = []
+    real = kernel_engine._run_fast
+
+    def spy(sim, mode):
+        modes.append(mode)
+        return real(sim, mode)
+
+    monkeypatch.setattr(kernel_engine, "_run_fast", spy)
+    return modes
+
+
 class TestDispatch:
     """The kernel's one loop, ``_run_fast``, runs the stock adversaries;
     every other adversary runs the object loop under ``engine="kernel"``."""
-
-    @pytest.fixture
-    def fast_modes(self, monkeypatch):
-        modes = []
-        real = kernel_engine._run_fast
-
-        def spy(sim, mode):
-            modes.append(mode)
-            return real(sim, mode)
-
-        monkeypatch.setattr(kernel_engine, "_run_fast", spy)
-        return modes
 
     @pytest.mark.parametrize("enforce_fairness", [True, False])
     @pytest.mark.parametrize(
@@ -427,6 +449,73 @@ class TestDispatch:
         ))
         assert len(fast_modes) == 1
         assert recycled == fresh
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            ReliableAdversary,
+            lambda: RandomFaultAdversary(FaultProfile(loss=0.2)),
+        ],
+        ids=["reliable", "lossy"],
+    )
+    @pytest.mark.parametrize(
+        "make_link",
+        [make_abp_link, make_stop_and_wait_link, make_nonvolatile_bit_link],
+        ids=["abp", "stop-and-wait", "nonvolatile-bit"],
+    )
+    def test_baseline_stations_run_object_loop(
+        self, fast_modes, make_link, factory
+    ):
+        # The kernel's flat state mirrors the paper's Transmitter and
+        # Receiver only; other stations must fall back, not crash.
+        assert_equivalent(
+            factory, 2, link_factory=lambda seed: make_link(), messages=15
+        )
+        assert fast_modes == []
+
+
+#: The fault mix of the link-faulty benchmark workload.
+LINK_FAULTY = FaultProfile(
+    loss=0.2, duplicate=0.05, reorder=0.1, crash_t=0.002, crash_r=0.002
+)
+
+
+class TestDefaultEngine:
+    """``"kernel"`` is the default engine on every entry point; the
+    object loop is the reference it must match."""
+
+    def test_library_defaults(self):
+        assert RunSpec.default().engine == "kernel"
+        assert FabricSpec().engine == "kernel"
+        engine = inspect.signature(Simulator).parameters["engine"]
+        assert engine.default == "kernel"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate"],
+            ["campaign"],
+            ["shrink", "--fault-plan", "plan.json", "--seed", "1"],
+        ],
+        ids=["simulate", "campaign", "shrink"],
+    )
+    def test_cli_defaults(self, argv):
+        assert build_parser().parse_args(argv).engine == "kernel"
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_default_run_matches_object_engine(self, fast_modes, seed):
+        factory = lambda: RandomFaultAdversary(LINK_FAULTY)
+        default = run_once(
+            RunSpec.default(adversary_factory=factory, messages=50), seed
+        )
+        assert len(fast_modes) == 1
+        reference = run_once(
+            RunSpec.default(
+                adversary_factory=factory, messages=50, engine="object"
+            ),
+            seed,
+        )
+        assert snapshot(default) == snapshot(reference)
 
 
 fault_profiles = st.builds(

@@ -127,12 +127,17 @@ class TestStallingAndFairness:
 
 
 class TestHarnessContract:
+    """The object loop's own contract.  ``"kernel"`` is the default
+    engine, so the runs the kernel would take pin ``engine="object"``:
+    the loop is the reference the differential suites compare the
+    kernel against."""
+
     def test_max_steps_bounds_run(self):
         result = run(StallingAdversary(), messages=1, enforce_fairness=False, max_steps=50)
         assert result.steps == 50
 
     def test_retry_cadence(self):
-        result = run(ReliableAdversary(), messages=2, retry_every=2)
+        result = run(ReliableAdversary(), messages=2, retry_every=2, engine="object")
         assert result.trace.retries() >= result.steps // 2 - 1
 
     def test_validation(self):
@@ -144,7 +149,10 @@ class TestHarnessContract:
 
     def test_empty_workload_finishes_immediately(self):
         link = make_data_link(seed=1)
-        sim = Simulator(link, ReliableAdversary(), SequentialWorkload(0), seed=1)
+        sim = Simulator(
+            link, ReliableAdversary(), SequentialWorkload(0), seed=1,
+            engine="object",
+        )
         result = sim.run()
         assert result.completed
         assert result.metrics.messages_submitted == 0
@@ -153,13 +161,32 @@ class TestHarnessContract:
         assert result.all_messages_ok
 
     def test_trace_event_shape(self):
-        result = run(ReliableAdversary(), messages=3)
+        result = run(ReliableAdversary(), messages=3, engine="object")
         sends = result.trace.of_type(SendMsg)
         oks = result.trace.of_type(Ok)
         deliveries = result.trace.of_type(ReceiveMsg)
         assert len(sends) == len(oks) == len(deliveries) == 3
 
     def test_metrics_storage_samples_collected(self):
-        result = run(ReliableAdversary(), messages=3)
+        result = run(ReliableAdversary(), messages=3, engine="object")
         assert len(result.metrics.storage_samples) == result.steps
         assert result.metrics.storage_peak_bits >= max(result.metrics.storage_samples[:1] or [0])
+
+    def test_step_matches_inlined_run_body(self):
+        # run() inlines step() for speed; driving step() by hand must
+        # reproduce the object loop's execution event for event.
+        def build():
+            link = make_data_link(epsilon=2.0 ** -16, seed=1)
+            adversary = RandomFaultAdversary(FaultProfile(
+                loss=0.3, duplicate=0.2, reorder=0.3, crash_t=0.005, crash_r=0.005,
+            ))
+            return Simulator(
+                link, adversary, SequentialWorkload(20), seed=4, engine="object"
+            )
+
+        result = build().run()
+        stepped = build()
+        while not stepped.finished:
+            stepped.step()
+        assert stepped.steps_taken == result.steps
+        assert list(stepped.trace.events) == list(result.trace.events)
