@@ -48,8 +48,6 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Deque, Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.adversary.base import PASS, Adversary, Move, PacketInfo, make_deliver
 from repro.checkers.endtoend import EndToEndMonitor
 from repro.checkers.trace import Trace
@@ -71,6 +69,7 @@ from repro.sim.simulator import SimulationResult, Simulator
 from repro.transport.network import (
     LinkState,
     Network,
+    check_rate,
     disjoint_routes,
     line_network,
     mesh_network,
@@ -293,6 +292,8 @@ class FabricSpec:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.messages < 0:
             raise ConfigurationError("messages must be >= 0")
+        check_rate("fail_rate", self.fail_rate)
+        check_rate("repair_rate", self.repair_rate)
         if self.engine not in ("object", "kernel"):
             raise ConfigurationError(
                 f"engine must be 'object' or 'kernel', got {self.engine!r}"
@@ -421,8 +422,12 @@ class FabricRun:
         self.ticks = 0
         self.completed = False
 
+        # The main route plus its next-hop maps (node -> successor toward
+        # the destination / toward the source), rebuilt only when the
+        # route itself changes.
         self._route: Optional[List] = None
-        self._up_graph: Optional[nx.Graph] = None
+        self._fwd_next: Dict[object, object] = {}
+        self._rev_next: Dict[object, object] = {}
 
     # -- fault-plan interpretation ----------------------------------------------------
 
@@ -474,17 +479,16 @@ class FabricRun:
                 state.up = False
             elif tick == window.end + 1:
                 state.up = True  # deterministic heal closes the partition
-        self._up_graph = None
         route = self._route
         if route is not None and not self._route_up(route):
-            self._route = None
+            self._set_route(None)
             self.reroutes += 1
         for node in self._crashes.get(tick, ()):
             self._crash_relay(node)
         if self._flaps.get(tick):
             if self._route is not None:
                 self.reroutes += 1
-            self._route = None
+            self._set_route(None)
 
     def _crash_relay(self, node: object) -> None:
         """Amnesia: wipe the relay queue and crash every adjacent station."""
@@ -499,10 +503,14 @@ class FabricRun:
 
     # -- routing ----------------------------------------------------------------------
 
-    def _up(self) -> nx.Graph:
-        if self._up_graph is None:
-            self._up_graph = self.network.up_subgraph()
-        return self._up_graph
+    def _set_route(self, route: Optional[List]) -> None:
+        self._route = route
+        if route is None:
+            self._fwd_next = {}
+            self._rev_next = {}
+        else:
+            self._fwd_next = dict(zip(route, route[1:]))
+            self._rev_next = dict(zip(route[1:], route))
 
     def _route_up(self, route: List) -> bool:
         edge_state = self._edge_state
@@ -519,25 +527,18 @@ class FabricRun:
         # route with a downed edge, so no per-frame re-verification.
         route = self._route
         if route is None:
-            try:
-                route = nx.shortest_path(
-                    self._up(), self.network.source, self.network.destination
-                )
-            except nx.NetworkXNoPath:
-                route = None
-            self._route = route
+            network = self.network
+            route = network.up_path(network.source, network.destination)
+            self._set_route(route)
         return route
 
     def _next_hop(self, node: object, toward_destination: bool) -> Optional[object]:
         """The next node for a frame at ``node``, or None while partitioned."""
-        route = self._ensure_route()
-        if route is not None and node in route:
-            # Route edges are up by construction (see _ensure_route).
-            i = route.index(node)
-            if toward_destination and i + 1 < len(route):
-                return route[i + 1]
-            elif not toward_destination and i > 0:
-                return route[i - 1]
+        self._ensure_route()
+        # Route edges are up by construction (see _ensure_route).
+        hop = (self._fwd_next if toward_destination else self._rev_next).get(node)
+        if hop is not None:
+            return hop
         # Off the main route (it changed underneath a queued frame): detour
         # along the shortest up path from here.
         target = (
@@ -545,10 +546,8 @@ class FabricRun:
         )
         if node == target:
             return None
-        try:
-            return nx.shortest_path(self._up(), node, target)[1]
-        except nx.NetworkXNoPath:
-            return None
+        path = self.network.up_path(node, target)
+        return None if path is None else path[1]
 
     # -- endpoints --------------------------------------------------------------------
 

@@ -16,7 +16,7 @@ must survive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -34,10 +34,46 @@ __all__ = [
 
 Edge = Tuple[object, object]
 
+#: Entries the per-network route table holds before it is cleared.  A
+#: flaky ring-8 stream touches a few hundred (mask, origin, target) keys,
+#: so the bound only bites on large meshes whose link masks keep changing.
+ROUTE_TABLE_LIMIT = 4096
+
+_MISS = object()
+
 
 def _normalize(edge: Edge) -> Edge:
     a, b = edge
     return (a, b) if repr(a) <= repr(b) else (b, a)
+
+
+def check_rate(name: str, value: float) -> None:
+    """Reject a Markov rate outside [0, 1] (NaN included) up front."""
+    if not 0.0 <= value <= 1.0:
+        raise ConfigurationError(f"{name} must be in [0, 1], got {value!r}")
+
+
+def _advance_links(states: Sequence["LinkState"], rng: RandomSource) -> None:
+    """One Markov step for each link, in order, on one shared tape.
+
+    Draws exactly what per-link :meth:`RandomSource.bernoulli` calls would
+    (one uniform per up link with a nonzero fail rate and per down link,
+    same order) and keeps bernoulli's ``[0, 1]`` check, so a rate assigned
+    out of range directly on a :class:`LinkState` still raises
+    ``ValueError`` at its first draw.
+    """
+    draw = rng.random_float
+    for state in states:
+        if state.up:
+            rate = state.fail_rate
+            if not rate:
+                continue
+        else:
+            rate = state.repair_rate
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"probability {rate} outside [0, 1]")
+        if draw() < rate:
+            state.up = not state.up
 
 
 @dataclass
@@ -51,12 +87,7 @@ class LinkState:
 
     def tick(self, rng: RandomSource) -> None:
         """Advance the two-state Markov chain by one time step."""
-        if self.up:
-            if self.fail_rate and rng.bernoulli(self.fail_rate):
-                self.up = False
-        else:
-            if rng.bernoulli(self.repair_rate):
-                self.up = True
+        _advance_links((self,), rng)
 
 
 class Network:
@@ -88,6 +119,8 @@ class Network:
             raise ConfigurationError("source and destination must differ")
         if not nx.is_connected(graph):
             raise ConfigurationError("the network graph must be connected")
+        check_rate("fail_rate", fail_rate)
+        check_rate("repair_rate", repair_rate)
         self.graph = graph
         self.source = source
         self.destination = destination
@@ -97,6 +130,10 @@ class Network:
             )
             for edge in graph.edges()
         }
+        self._states: Tuple[LinkState, ...] = tuple(self._links.values())
+        # Memoized shortest up paths: (up mask, origin, target) -> path
+        # tuple, or None when the mask partitions origin from target.
+        self._routes: Dict[tuple, Optional[tuple]] = {}
 
     # -- link management ------------------------------------------------------------
 
@@ -113,12 +150,14 @@ class Network:
         for key, value in attrs.items():
             if not hasattr(state, key):
                 raise ConfigurationError(f"LinkState has no attribute {key!r}")
+            if key in ("fail_rate", "repair_rate"):
+                check_rate(key, value)
+        for key, value in attrs.items():
             setattr(state, key, value)
 
     def tick(self, rng: RandomSource) -> None:
         """Advance every link's failure process by one step."""
-        for state in self._links.values():
-            state.tick(rng)
+        _advance_links(self._states, rng)
 
     def link_up(self, a, b) -> bool:
         """True iff the link between two adjacent nodes is currently up."""
@@ -134,12 +173,33 @@ class Network:
         sub.add_edges_from(up_edges)
         return sub
 
+    def up_path(self, origin, target) -> Optional[List]:
+        """Shortest ``origin``→``target`` path over up links, or None.
+
+        Memoized on the current up/down mask of every link (in link
+        order), so a route is computed once per topology state however
+        often relays ask.  The mask is read on each call, so links flipped
+        directly on a :class:`LinkState` need no invalidation.  Each call
+        returns a fresh list: callers may mutate it without touching the
+        table.  The table holds at most :data:`ROUTE_TABLE_LIMIT` entries
+        and is cleared when a miss finds it full.
+        """
+        key = (tuple([state.up for state in self._states]), origin, target)
+        routes = self._routes
+        path = routes.get(key, _MISS)
+        if path is _MISS:
+            try:
+                path = tuple(nx.shortest_path(self.up_subgraph(), origin, target))
+            except nx.NetworkXNoPath:
+                path = None
+            if len(routes) >= ROUTE_TABLE_LIMIT:
+                routes.clear()
+            routes[key] = path
+        return None if path is None else list(path)
+
     def shortest_up_path(self) -> Optional[List]:
         """Shortest source→destination path over up links, or None."""
-        try:
-            return nx.shortest_path(self.up_subgraph(), self.source, self.destination)
-        except nx.NetworkXNoPath:
-            return None
+        return self.up_path(self.source, self.destination)
 
     @property
     def edge_count(self) -> int:

@@ -24,8 +24,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.core.random_source import RandomSource
 from repro.transport.network import Network
 
@@ -181,9 +179,8 @@ class PathRelay(RelayStrategy):
 
     def _recompute(self, origin, target) -> Optional[List]:
         self.path_repairs += 1
-        try:
-            path = nx.shortest_path(self.network.up_subgraph(), origin, target)
-        except nx.NetworkXNoPath:
+        path = self.network.up_path(origin, target)
+        if path is None:
             return None
         key = "fwd" if origin == self.network.source else "rev"
         self._paths[key] = path
