@@ -13,6 +13,8 @@ Layout:
 
 * :mod:`repro.live.backoff` — jittered exponential poll backoff (the live
   pacing of the RM's RETRY obligation);
+* :mod:`repro.live.wire` — the socket layer every station and the proxy
+  run on: batched drain/flush datagram I/O over pooled send buffers;
 * :mod:`repro.live.proxy` — :class:`ChaosProxy`, compiling the campaign
   fault-plan schema plus a stochastic :class:`LinkProfile` into wire
   faults while honouring Section 2.3 adversary visibility (identifiers

@@ -60,7 +60,9 @@ from repro.core.packets import (
     PollEncoder,
     PollPacket,
     decode_packet,
-    encode_packet,
+    # Unused here, but kept as a module attribute: the benchmark's codec
+    # trace points wrap ``endpoints.encode_packet`` by name.
+    encode_packet,  # noqa: F401
     encode_packet_into,
     packet_wire_bytes,
 )
@@ -75,20 +77,8 @@ __all__ = ["TransmitterEndpoint", "ReceiverEndpoint"]
 Address = Tuple[str, int]
 
 
-class _StationProtocol(asyncio.DatagramProtocol):
-    def __init__(self, endpoint: "_SocketBase") -> None:
-        self._endpoint = endpoint
-        self.transport: Optional[asyncio.DatagramTransport] = None
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-
-    def datagram_received(self, data: bytes, addr: Address) -> None:
-        self._endpoint._on_datagram(bytes(data))
-
-
 class _SocketBase:
-    """One UDP socket plus audited timer bookkeeping.
+    """One batched UDP socket plus audited timer bookkeeping.
 
     Every volatile timer an endpoint schedules goes through
     :meth:`_call_later` and is tracked until it fires or is cancelled;
@@ -101,40 +91,24 @@ class _SocketBase:
     def __init__(
         self,
         proxy_addr: Address,
-        wire: str = "classic",
         pool: Optional[BufferPool] = None,
     ) -> None:
-        if wire not in ("classic", "batched"):
-            raise ValueError(f"unknown wire mode {wire!r}")
         self.proxy_addr = proxy_addr
-        self.wire = wire
-        self._protocol = _StationProtocol(self)
-        self._batched: Optional[BatchedDatagramIO] = None
-        self._pool = pool
+        self._io = BatchedDatagramIO(self._on_datagram, pool=pool)
         self._timers: Set[asyncio.TimerHandle] = set()
         self._closed = False
 
     async def start(self) -> None:
-        if self.wire == "batched":
-            self._batched = BatchedDatagramIO(self._on_datagram,
-                                              pool=self._pool)
-            await self._batched.open()
-            return
-        loop = asyncio.get_running_loop()
-        await loop.create_datagram_endpoint(
-            lambda: self._protocol, local_addr=("127.0.0.1", 0)
-        )
+        await self._io.open()
 
     @property
     def local_address(self) -> Address:
-        if self._batched is not None:
-            return self._batched.local_address
-        return self._protocol.transport.get_extra_info("sockname")
+        return self._io.local_address
 
     @property
     def wire_ios(self) -> "List[BatchedDatagramIO]":
-        """The batched sockets behind this endpoint ([] on a classic wire)."""
-        return [self._batched] if self._batched is not None else []
+        """The batched socket behind this endpoint."""
+        return [self._io]
 
     @property
     def pending_timer_count(self) -> int:
@@ -144,10 +118,7 @@ class _SocketBase:
     def close(self) -> None:
         self._closed = True
         self._cancel_timers()
-        if self._batched is not None:
-            self._batched.close()
-        if self._protocol.transport is not None:
-            self._protocol.transport.close()
+        self._io.close()
 
     # -- timer hygiene -----------------------------------------------------------
 
@@ -173,37 +144,16 @@ class _SocketBase:
             handle.cancel()
         self._timers.clear()
 
-    def _sendto(self, data: bytes) -> None:
-        if self._closed:
-            return
-        if self._batched is not None:
-            self._batched.send(data, self.proxy_addr)
-            return
-        transport = self._protocol.transport
-        if transport is not None:
-            transport.sendto(data, self.proxy_addr)
-
     def _send_wire(self, packet, prefix: bytes = b"", encoder=None) -> None:
-        """Serialise ``packet`` (behind ``prefix``) and queue it for the wire.
+        """Encode ``packet`` (behind ``prefix``) into a pool buffer and queue it.
 
         ``encoder``, when given, is a :class:`PollEncoder` whose output
         already *includes* ``prefix`` — the argument then only sizes the
-        pooled buffer.  On the batched wire the packet is encoded straight
-        into a pool buffer (no intermediate ``bytes``); on the classic wire
-        this reduces to the PR-4/PR-5 concatenating path byte for byte.
+        pooled buffer.  No intermediate ``bytes`` is built.
         """
-        io = self._batched
-        if io is None:
-            if encoder is not None:
-                data = encoder.encode(packet)
-            elif prefix:
-                data = prefix + encode_packet(packet)
-            else:
-                data = encode_packet(packet)
-            self._sendto(data)
-            return
         if self._closed:
             return
+        io = self._io
         buf = io.pool.acquire(len(prefix) + packet_wire_bytes(packet))
         if encoder is not None:
             end = encoder.encode_into(buf, 0, packet)
@@ -229,10 +179,9 @@ class _EndpointBase(_SocketBase):
         log: LiveEventLog,
         proxy_addr: Address,
         restart_delay: float = 0.02,
-        wire: str = "classic",
         pool: Optional[BufferPool] = None,
     ) -> None:
-        super().__init__(proxy_addr, wire=wire, pool=pool)
+        super().__init__(proxy_addr, pool=pool)
         self.log = log
         self.restart_delay = restart_delay
         self.dead = False
@@ -349,10 +298,9 @@ class TransmitterEndpoint(_EndpointBase):
         on_ok: Optional[Callable[[], None]] = None,
         on_done: Optional[Callable[[], None]] = None,
         restart_delay: float = 0.02,
-        wire: str = "classic",
         pool: Optional[BufferPool] = None,
     ) -> None:
-        super().__init__(log, proxy_addr, restart_delay, wire=wire, pool=pool)
+        super().__init__(log, proxy_addr, restart_delay, pool=pool)
         self.tm = transmitter
         self.queue: Deque[_Slot] = deque(_Slot(p) for p in payloads)
         self.total_slots = len(self.queue)
@@ -471,10 +419,9 @@ class ReceiverEndpoint(_EndpointBase):
         on_progress: Optional[Callable[[], None]] = None,
         on_delivery: Optional[Callable[[bytes], None]] = None,
         restart_delay: float = 0.02,
-        wire: str = "classic",
         pool: Optional[BufferPool] = None,
     ) -> None:
-        super().__init__(log, proxy_addr, restart_delay, wire=wire, pool=pool)
+        super().__init__(log, proxy_addr, restart_delay, pool=pool)
         self.rm = receiver
         self.backoff = backoff
         self.deliveries = 0

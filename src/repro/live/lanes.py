@@ -31,9 +31,9 @@ Adversary visibility stays structural: the chaos proxy peeks the lane id
 and identifier octet through :func:`~repro.core.packets.peek_wire_info` —
 faults can *target a lane* but never read contents.
 
-Hot path: each lane's outbound frames reuse the interned one-byte lane
-prefix (no per-send frame buffer allocation beyond the unavoidable
-concat), and RETRY polls go through a per-lane
+Hot path: each lane's outbound frames are encoded behind the interned
+one-byte lane prefix straight into a pooled send buffer (no per-send
+``bytes``), and RETRY polls go through a per-lane
 :class:`~repro.core.packets.PollEncoder`, which caches the lane byte and
 the encoded ``(ρ, τ)`` prefix and re-packs only the retry counter.
 """
@@ -183,11 +183,10 @@ class _LanedBase(_SocketBase):
     """Shared datagram dispatch for the laned endpoints."""
 
     def __init__(self, proxy_addr: Address, lane_count: int,
-                 restart_delay: float, wire: str = "classic",
-                 pool=None) -> None:
+                 restart_delay: float, pool=None) -> None:
         if lane_count < 1:
             raise ValueError("need at least one lane")
-        super().__init__(proxy_addr, wire=wire, pool=pool)
+        super().__init__(proxy_addr, pool=pool)
         self.lane_count = lane_count
         self.restart_delay = restart_delay
         self.malformed = 0
@@ -245,11 +244,9 @@ class LanedTransmitterEndpoint(_LanedBase):
         on_ok: Optional[Callable[[], None]] = None,
         on_done: Optional[Callable[[], None]] = None,
         restart_delay: float = 0.02,
-        wire: str = "classic",
         pool=None,
     ) -> None:
-        super().__init__(proxy_addr, len(links), restart_delay,
-                         wire=wire, pool=pool)
+        super().__init__(proxy_addr, len(links), restart_delay, pool=pool)
         if len(logs) != len(links):
             raise ValueError("need one event log per lane")
         self._lanes = [
@@ -440,11 +437,9 @@ class LanedReceiverEndpoint(_LanedBase):
         on_progress: Optional[Callable[[], None]] = None,
         on_delivery: Optional[Callable[[bytes], None]] = None,
         restart_delay: float = 0.02,
-        wire: str = "classic",
         pool=None,
     ) -> None:
-        super().__init__(proxy_addr, len(links), restart_delay,
-                         wire=wire, pool=pool)
+        super().__init__(proxy_addr, len(links), restart_delay, pool=pool)
         if len(logs) != len(links) or len(backoffs) != len(links):
             raise ValueError("need one event log and one backoff per lane")
         self._lanes = [

@@ -43,6 +43,7 @@ from repro.checkers.live import LiveEventLog
 from repro.checkers.report import SafetyReport, merge_safety_reports
 from repro.checkers.stabilization import StabilizationReport
 from repro.checkers.streaming import StreamingChecks
+from repro.core.packets import MAX_LANES
 from repro.core.protocol import make_data_link
 from repro.core.random_source import RandomSource, split_seed
 from repro.live.backoff import AdaptiveBackoff, BackoffPolicy
@@ -92,11 +93,6 @@ class LiveScenario:
     tail_size: int = 4096  # forensic event tail retained by the log
     lanes: int = 1  # protocol instances striped over the socket pair
     stabilization_window: int = 8  # clean progress events ending probation
-    #: "batched" = zero-copy drain/flush sockets (PROTOCOL.md §15);
-    #: "classic" = the PR-4/PR-5 one-datagram-per-wakeup asyncio transports.
-    #: Verdicts are wire-mode independent; "classic" exists for the bench
-    #: comparison and as a fallback switch.
-    wire: str = "batched"
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -106,12 +102,11 @@ class LiveScenario:
             raise ValueError("budget and give_up_idle must be positive")
         if self.give_up_polls < 0:
             raise ValueError("give_up_polls must be >= 0")
-        if self.lanes < 1:
-            raise ValueError("lanes must be >= 1")
+        if not 1 <= self.lanes <= MAX_LANES:
+            # The lane id is one frame byte below the packet kind octets.
+            raise ValueError(f"lanes must be in [1, {MAX_LANES}]")
         if self.stabilization_window < 1:
             raise ValueError("stabilization_window must be >= 1")
-        if self.wire not in ("batched", "classic"):
-            raise ValueError(f"unknown wire mode {self.wire!r}")
 
     @property
     def wants_stabilization(self) -> bool:
@@ -148,9 +143,8 @@ class LiveRunReport:
     corruptions_t: int = 0  # in-place state scrambles applied to the TM
     corruptions_r: int = 0  # in-place state scrambles applied to the RM
     stabilization: Optional[StabilizationReport] = None
-    wire: str = "classic"  # which wire layer carried the run
     loop_backend: str = "asyncio"  # event loop implementation used
-    wire_stats: Optional[WireStats] = None  # batching counters (batched wire)
+    wire_stats: WireStats = field(default_factory=WireStats)  # batching counters
     pool_outstanding: int = 0  # pooled buffers still unreturned at teardown
     pool_allocated: int = 0  # pooled buffers ever created
     pool_high_water: int = 0  # worst simultaneous pooled-buffer demand
@@ -181,26 +175,20 @@ class LiveRunReport:
                 ["crashes (T/R)", f"{self.crashes_t}/{self.crashes_r}"],
                 ["events checked", self.events_seen],
                 ["wall seconds", f"{self.wall_seconds:.2f}"],
-                ["wire", f"{self.wire} ({self.loop_backend})"],
-            ]
-            + (
+                ["event loop", self.loop_backend],
                 [
-                    [
-                        "wire batches (recv/send)",
-                        f"{self.wire_stats.recv_batches}/"
-                        f"{self.wire_stats.send_batches}"
-                        + (" mmsg" if self.wire_stats.mmsg else ""),
-                    ],
-                    [
-                        "buffer pool",
-                        f"{self.pool_allocated} allocated, "
-                        f"{self.pool_outstanding} outstanding, "
-                        f"high-water {self.pool_high_water}",
-                    ],
-                ]
-                if self.wire_stats is not None
-                else []
-            )
+                    "wire batches (recv/send)",
+                    f"{self.wire_stats.recv_batches}/"
+                    f"{self.wire_stats.send_batches}"
+                    + (" mmsg" if self.wire_stats.mmsg else ""),
+                ],
+                [
+                    "buffer pool",
+                    f"{self.pool_allocated} allocated, "
+                    f"{self.pool_outstanding} outstanding, "
+                    f"high-water {self.pool_high_water}",
+                ],
+            ]
             + (
                 [
                     [
@@ -303,10 +291,9 @@ async def run_live_scenario_async(scenario: LiveScenario) -> LiveRunReport:
             )
         return LiveEventLog(checks=checks, tail_size=scenario.tail_size)
 
-    # One buffer pool for the whole deployment: every batched socket draws
-    # send buffers from it, so its counters are the run-wide leak check.
-    batched = scenario.wire == "batched"
-    pool = BufferPool() if batched else None
+    # One buffer pool for the whole deployment: every socket draws send
+    # buffers from it, so its counters are the run-wide leak check.
+    pool = BufferPool()
     proxy = ChaosProxy(
         plan=scenario.plan,
         profile=scenario.profile,
@@ -316,7 +303,6 @@ async def run_live_scenario_async(scenario: LiveScenario) -> LiveRunReport:
             LiveStatus.ABORTED, f"scripted abort at wire turn {turn}"
         ),
         on_corrupt=lambda event, turn, lane: _corrupt_station(event, lane),
-        wire=scenario.wire,
         pool=pool,
     )
     payloads = [b"live-%05d" % i for i in range(scenario.messages)]
@@ -344,7 +330,6 @@ async def run_live_scenario_async(scenario: LiveScenario) -> LiveRunReport:
             on_ok=note_progress,
             on_done=lambda: finish(LiveStatus.DELIVERED, "workload complete"),
             restart_delay=scenario.restart_delay,
-            wire=scenario.wire,
             pool=pool,
         )
         rm = LanedReceiverEndpoint(
@@ -357,7 +342,6 @@ async def run_live_scenario_async(scenario: LiveScenario) -> LiveRunReport:
             ],
             on_progress=note_progress,
             restart_delay=scenario.restart_delay,
-            wire=scenario.wire,
             pool=pool,
         )
     else:
@@ -371,7 +355,6 @@ async def run_live_scenario_async(scenario: LiveScenario) -> LiveRunReport:
             on_ok=note_progress,
             on_done=lambda: finish(LiveStatus.DELIVERED, "workload complete"),
             restart_delay=scenario.restart_delay,
-            wire=scenario.wire,
             pool=pool,
         )
         rm = ReceiverEndpoint(
@@ -381,7 +364,6 @@ async def run_live_scenario_async(scenario: LiveScenario) -> LiveRunReport:
             AdaptiveBackoff(scenario.poll, root.fork("poll-backoff")),
             on_progress=note_progress,
             restart_delay=scenario.restart_delay,
-            wire=scenario.wire,
             pool=pool,
         )
 
@@ -414,17 +396,15 @@ async def run_live_scenario_async(scenario: LiveScenario) -> LiveRunReport:
 
     started = time.monotonic()
     supervisor: Optional[asyncio.Task] = None
-    wire_ios: List = []
+    wire_ios = tm.wire_ios + rm.wire_ios + proxy.wire_ios
     try:
         await tm.start()
         await rm.start()
         proxy.connect(tm.local_address, rm.local_address)
-        # All four batched sockets flush as one group: any drain chunk may
-        # enqueue sends on any of them (station → proxy side → station),
-        # and every borrowed view must leave before buffers are reused.
-        wire_ios = tm.wire_ios + rm.wire_ios + proxy.wire_ios
-        if wire_ios:
-            link_flush_group(wire_ios)
+        # All four sockets flush as one group: any drain chunk may enqueue
+        # sends on any of them (station → proxy side → station), and every
+        # borrowed view must leave before buffers are reused.
+        link_flush_group(wire_ios)
 
         async def _give_up_watch() -> None:
             # Deadline-based supervision: the poll backoff retransmits, this
@@ -540,14 +520,13 @@ async def run_live_scenario_async(scenario: LiveScenario) -> LiveRunReport:
         corruptions_t=tm.corruptions,
         corruptions_r=rm.corruptions,
         stabilization=stabilization,
-        wire=scenario.wire,
         # Stats survive close(); teardown has already flushed or released
         # every in-flight buffer, so pool_outstanding must read 0 here —
         # the crash-amnesia leak test pins exactly that.
-        wire_stats=(merge_wire_stats(wire_ios) if wire_ios else None),
-        pool_outstanding=(pool.outstanding if pool is not None else 0),
-        pool_allocated=(pool.allocated if pool is not None else 0),
-        pool_high_water=(pool.high_water if pool is not None else 0),
+        wire_stats=merge_wire_stats(wire_ios),
+        pool_outstanding=pool.outstanding,
+        pool_allocated=pool.allocated,
+        pool_high_water=pool.high_water,
         delivered_stream=list(rm.delivered),
         forensic_tail=forensic_tail,
     )

@@ -54,7 +54,6 @@ import multiprocessing
 import os
 import random
 import signal
-import struct
 import tempfile
 import threading
 import time
@@ -222,168 +221,6 @@ def decode_report(wire: tuple) -> RunReport:
     )
 
 
-# -- shared-memory shard results --------------------------------------------------
-
-#: struct format of one clean-run record: index, seed, completed, steps,
-#: duration, liveness_passed, trace_dropped_events, then the 23 fields of
-#: SimulationMetrics.to_wire (16 counters, wall/checker seconds, 5 more
-#: counters), then (failures, trials) per safety condition.  Every int
-#: rides as an unsigned 64-bit ('Q'): seeds are 64-bit FNV hashes and all
-#: counters are non-negative.  Like :func:`encode_report`, the record
-#: omits ``attempts``/``worker_deaths`` — the parent stamps those during
-#: classification (:func:`_finalize`).
-_SHM_FIXED_FMT = "<QQBQdBQ" + "Q" * 16 + "dd" + "Q" * 5
-
-#: Shard results from shared-memory-capable workers: a tagged tuple
-#: instead of the legacy list of wire tuples.
-_SHM_TAG = "shm-v1"
-
-
-def _shm_eligible(report: RunReport, conditions: Optional[Tuple[str, ...]]):
-    """The condition order this OK report packs under, or None.
-
-    Only perfectly regular reports fit fixed-width records: clean status,
-    no violations/forensics/error text, no stabilization payload, and a
-    safety summary over the shard's condition tuple (the first eligible
-    report elects it; a mismatching later report falls back to pickling).
-    """
-    if (
-        report.status is not RunStatus.OK
-        or report.metrics is None
-        or report.safety_summary is None
-        or report.violations
-        or report.trace_jsonl is not None
-        or report.error is not None
-        or report.stabilization is not None
-    ):
-        return None
-    report_conditions = tuple(report.safety_summary)
-    if conditions is not None and report_conditions != conditions:
-        return None
-    return report_conditions
-
-
-def _pack_shard_reports(reports: List[RunReport]):
-    """Split a shard's reports into a shared-memory blob + pickled rest.
-
-    Returns the tagged tuple the parent unpacks, or None when shared
-    memory is unavailable/pointless (no eligible reports, creation
-    failed) — the caller then ships the legacy pickled list.  The worker
-    unregisters the segment from its resource tracker: ownership (and
-    the unlink) transfers to the parent with the name.
-    """
-    try:
-        from multiprocessing import resource_tracker, shared_memory
-    except ImportError:  # pragma: no cover - stdlib always has it on linux
-        return None
-    conditions: Optional[Tuple[str, ...]] = None
-    fixed: List[RunReport] = []
-    rest: List[RunReport] = []
-    for report in reports:
-        elected = _shm_eligible(report, conditions)
-        if elected is None:
-            rest.append(report)
-        else:
-            conditions = elected
-            fixed.append(report)
-    if not fixed:
-        return None
-    fmt = _SHM_FIXED_FMT + "QQ" * len(conditions)
-    record_size = struct.calcsize(fmt)
-    pack_into = struct.Struct(fmt).pack_into
-    try:
-        segment = shared_memory.SharedMemory(
-            create=True, size=record_size * len(fixed)
-        )
-    except (OSError, ValueError):
-        return None
-    try:
-        for slot, report in enumerate(fixed):
-            summary = report.safety_summary
-            values = [
-                report.index,
-                report.seed,
-                1 if report.completed else 0,
-                report.steps,
-                report.duration,
-                1 if report.liveness_passed else 0,
-                report.trace_dropped_events,
-            ]
-            values.extend(report.metrics.to_wire())
-            for condition in conditions:
-                failures, trials = summary[condition]
-                values.append(failures)
-                values.append(trials)
-            pack_into(segment.buf, slot * record_size, *values)
-    except (struct.error, ValueError):
-        # A counter overflowed the fixed field (or the buffer): give the
-        # whole shard to the pickle path rather than ship a torn blob.
-        segment.close()
-        try:
-            segment.unlink()
-        except OSError:
-            pass
-        return None
-    name = segment.name
-    segment.close()
-    try:
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:
-        pass
-    return (
-        _SHM_TAG,
-        name,
-        len(fixed),
-        conditions,
-        [encode_report(report) for report in rest],
-    )
-
-
-def _unpack_shard_result(result) -> List[RunReport]:
-    """Decode a shard worker's return value (tagged shm tuple or legacy list)."""
-    if isinstance(result, list):
-        return [decode_report(wire) for wire in result]
-    tag, name, count, conditions, rest_wires = result
-    if tag != _SHM_TAG:
-        raise RuntimeError(f"unknown shard result tag {tag!r}")
-    from multiprocessing import shared_memory
-
-    fmt = _SHM_FIXED_FMT + "QQ" * len(conditions)
-    record = struct.Struct(fmt)
-    reports: List[RunReport] = []
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        for slot in range(count):
-            values = record.unpack_from(segment.buf, slot * record.size)
-            metrics_wire = values[7:30]
-            pairs = values[30:]
-            reports.append(
-                RunReport(
-                    index=values[0],
-                    seed=values[1],
-                    status=RunStatus.OK,
-                    completed=bool(values[2]),
-                    steps=values[3],
-                    duration=values[4],
-                    liveness_passed=bool(values[5]),
-                    trace_dropped_events=values[6],
-                    metrics=SimulationMetrics.from_wire(metrics_wire),
-                    safety_summary={
-                        condition: (pairs[2 * i], pairs[2 * i + 1])
-                        for i, condition in enumerate(conditions)
-                    },
-                )
-            )
-    finally:
-        segment.close()
-        try:
-            segment.unlink()
-        except OSError:
-            pass
-    reports.extend(decode_report(wire) for wire in rest_wires)
-    return reports
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     """Supervisor knobs (all orthogonal to the spec under test)."""
@@ -397,12 +234,6 @@ class CampaignConfig:
     capture_traces: bool = True  # archive traces of non-ok runs
     in_process: bool = False  # debugging: skip the pool entirely
     chunk_size: Optional[int] = None  # runs per pool task; None = auto
-    #: Ship clean shard results as fixed-width records in one
-    #: multiprocessing.shared_memory segment per shard instead of pickled
-    #: tuples through the result queue.  Purely a transport optimization:
-    #: fingerprints are bit-identical either way (pinned by tests), and
-    #: workers fall back to pickling when a segment cannot be created.
-    shared_memory: bool = True
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -624,16 +455,13 @@ def _campaign_shard_worker(
     timeout: Optional[float],
     capture_trace: bool,
     marker_dir: str,
-    use_shared_memory: bool = True,
-) -> object:
+) -> List[tuple]:
     """Execute one shard of ``(index, seed)`` runs in this worker process.
 
     One :class:`RunSession` serves the whole shard, so per-run cost is a
-    reset instead of a full harness rebuild.  Clean results ship back as
-    fixed-width records in one shared-memory segment per shard (see
-    :func:`_pack_shard_reports`); irregular runs — and every run when
-    shared memory is off or unavailable — ride the legacy pickled
-    :func:`encode_report` tuples.  The running-marker protocol is per
+    reset instead of a full harness rebuild.  Results ship back as the
+    compact :func:`encode_report` tuples, pickled through the pool's
+    result queue.  The running-marker protocol is per
     *run*, not per shard: exactly the run executing when a worker dies
     leaves a marker behind, so the parent's blame logic keeps per-run
     resolution.  Results completed before a mid-shard death are lost with
@@ -660,10 +488,6 @@ def _campaign_shard_worker(
             except OSError:
                 pass
         reports.append(report)
-    if use_shared_memory:
-        packed = _pack_shard_reports(reports)
-        if packed is not None:
-            return packed
     return [encode_report(report) for report in reports]
 
 
@@ -1247,7 +1071,6 @@ def _pool_round(
             config.timeout,
             config.capture_traces,
             marker_dir,
-            config.shared_memory,
         )
         futures[future] = shard
 
@@ -1261,7 +1084,7 @@ def _pool_round(
                 reports: Optional[List[RunReport]] = None
                 shard_error: Optional[str] = None
                 try:
-                    reports = _unpack_shard_result(future.result())
+                    reports = [decode_report(wire) for wire in future.result()]
                 except BrokenExecutor:
                     broken = True
                     continue

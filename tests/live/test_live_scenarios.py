@@ -16,6 +16,7 @@ import socket
 import pytest
 
 from repro.checkers.live import LiveEventLog
+from repro.core.packets import MAX_LANES
 from repro.core.protocol import make_data_link
 from repro.core.random_source import RandomSource
 from repro.live import (
@@ -127,6 +128,16 @@ def test_scenario_validation():
         LiveScenario(budget=0.0)
     with pytest.raises(ValueError):
         LiveScenario(give_up_polls=-1)
+
+
+def test_lane_count_is_bounded_by_the_frame_byte():
+    # A lane id rides in one frame byte below the packet kind octets, so
+    # MAX_LANES is the ceiling.  Checked at construction: no socket opens.
+    assert LiveScenario(lanes=MAX_LANES).lanes == 64
+    with pytest.raises(ValueError, match="lanes"):
+        LiveScenario(lanes=MAX_LANES + 1)
+    with pytest.raises(ValueError, match="lanes"):
+        LiveScenario(lanes=0)
 
 
 def test_malformed_datagrams_are_counted_not_fatal():

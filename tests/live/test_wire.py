@@ -5,13 +5,13 @@ Three layers of pinning for docs/PROTOCOL.md §15:
 * **unit** — :class:`BatchedDatagramIO` against real loopback sockets,
   on both the recvmmsg/sendmmsg fast path and the portable fallback:
   multi-chunk drains, zero-copy forwards across a flush group, short
-  datagrams, connected-peer mode, and buffer-pool accounting;
-* **differential** — the same pinned-seed live scenarios run over the
-  classic and batched wires must produce identical verdicts and an
-  identical delivered byte stream (the wire moves datagrams; it must
-  never move the protocol), including scripted crash turns — the chaos
-  proxy's turn clock counts observed datagrams one at a time regardless
-  of how the wire batches them;
+  datagrams, and buffer-pool accounting;
+* **end to end** — pinned-seed live scenarios must deliver the submitted
+  payloads in order with clean verdicts (the wire moves datagrams; it
+  must never move the protocol), including scripted crash turns — the
+  chaos proxy's turn clock counts observed datagrams one at a time
+  regardless of how the wire batches them.  CI runs this file with and
+  without ``REPRO_NO_MMSG``, so both socket paths earn the same pins;
 * **hygiene** — every pooled send buffer is back in the pool when a run
   ends, including runs where both stations cold-restart mid-flight with
   total amnesia (in-flight buffers must not leak across the restart).
@@ -24,7 +24,6 @@ import asyncio
 import pytest
 
 from repro.live import BackoffPolicy, LinkProfile, LiveScenario, LiveStatus
-from repro.live.pump import run_wire_pump
 from repro.live.scenario import run_live_scenario
 from repro.live.wire import (
     BatchedDatagramIO,
@@ -154,38 +153,6 @@ def test_pooled_sends_return_every_buffer(use_mmsg):
     assert pool.allocated <= pool.max_free + pool.high_water
 
 
-@pytest.mark.parametrize("use_mmsg", _MODES)
-def test_connected_mode_pins_the_peer(use_mmsg):
-    async def scenario():
-        got = []
-        rx = BatchedDatagramIO(lambda view: got.append(bytes(view)),
-                               use_mmsg=use_mmsg)
-        tx = BatchedDatagramIO(lambda view: None, use_mmsg=use_mmsg)
-        await rx.open()
-        await tx.open()
-        dest = rx.local_address
-        tx.connect(dest)
-        for i in range(50):
-            tx.send(b"c%02d" % i, dest)
-        with pytest.raises(ValueError):
-            tx.send(b"stray", ("127.0.0.1", 1))
-        pool_buf = tx.pool.acquire(8)
-        with pytest.raises(ValueError):
-            tx.send_pooled(pool_buf, 4, ("127.0.0.1", 1))
-        outstanding = tx.pool.outstanding  # rejected buffer was released
-        for _ in range(40):
-            await _idle(0.01)
-            if len(got) == 50:
-                break
-        tx.close()
-        rx.close()
-        return got, outstanding
-
-    got, outstanding = asyncio.run(scenario())
-    assert got == [b"c%02d" % i for i in range(50)]
-    assert outstanding == 0
-
-
 def test_use_mmsg_flag_is_explicit():
     io = BatchedDatagramIO(lambda view: None, use_mmsg=False)
     assert io.stats.mmsg is False
@@ -216,10 +183,10 @@ def test_buffer_pool_accounting():
     assert len(big) >= 4096
 
 
-# -- differential: the wire must never move the protocol -------------------------
+# -- end to end: the wire must never move the protocol ---------------------------
 
 
-def _scenario(wire: str, **overrides) -> LiveScenario:
+def _scenario(**overrides) -> LiveScenario:
     base = dict(
         messages=16,
         seed=2026,
@@ -227,61 +194,44 @@ def _scenario(wire: str, **overrides) -> LiveScenario:
         poll=_FAST_POLL,
         budget=30.0,
         give_up_idle=5.0,
-        wire=wire,
-        label=f"wire-diff-{wire}",
+        label="wire-pin",
     )
     base.update(overrides)
     return LiveScenario(**base)
 
 
-def _verdict_fingerprint(report):
-    """Everything the wire layer must not change, in one comparable value."""
-    return (
-        report.status,
-        report.oks,
-        report.deliveries,
-        tuple((r.condition, r.passed) for r in report.safety.all_reports),
-        report.liveness_passed,
-        report.in_order_delivered,
-        tuple(report.delivered_stream),
-    )
+def _assert_clean_delivery(report, messages: int) -> None:
+    """The whole workload, in submission order, under clean verdicts."""
+    assert report.status is LiveStatus.DELIVERED, report.reason
+    assert report.ok
+    assert report.safety.passed
+    assert report.liveness_passed
+    assert report.oks == messages
+    assert report.delivered_stream == [b"live-%05d" % i for i in range(messages)]
+    assert report.in_order_delivered == messages
+    assert report.pool_outstanding == 0
+    assert report.wire_stats.mmsg is mmsg_available()
 
 
 def test_clean_run_verdicts_are_wire_independent():
-    classic = run_live_scenario(_scenario("classic"))
-    batched = run_live_scenario(_scenario("batched"))
-    assert classic.ok and batched.ok
-    assert _verdict_fingerprint(classic) == _verdict_fingerprint(batched)
-    assert batched.pool_outstanding == 0
+    _assert_clean_delivery(run_live_scenario(_scenario()), 16)
 
 
 def test_chaos_run_verdicts_are_wire_independent():
-    # Stochastic faults plus scripted crashes: trajectories may differ in
-    # timing, but both wires must deliver the whole workload with clean
-    # Section 2.6 verdicts and the identical reassembled byte stream —
-    # and the scripted turn clock must fire the crashes on both wires
-    # (the proxy counts datagrams one at a time even when drained in
-    # batches).
-    chaos = dict(
+    # Stochastic faults plus scripted crashes: the whole workload must
+    # still arrive in order with clean Section 2.6 verdicts, and the
+    # scripted turn clock must fire both crashes (the proxy counts
+    # datagrams one at a time even when drained in batches).
+    report = run_live_scenario(_scenario(
         profile=LinkProfile(drop=0.05, duplicate=0.04, reorder=0.04,
                             delay=0.001, jitter=0.001),
         plan=FaultPlan.of(CrashAt(step=20, station="T"),
                           CrashAt(step=50, station="R")),
         budget=45.0,
         messages=24,
-    )
-    classic = run_live_scenario(_scenario("classic", **chaos))
-    batched = run_live_scenario(_scenario("batched", **chaos))
-    for report in (classic, batched):
-        assert report.status is LiveStatus.DELIVERED, report.reason
-        assert report.safety.passed
-        assert report.liveness_passed
-        assert report.crashes_t == 1 and report.crashes_r == 1
-    assert classic.delivered_stream == batched.delivered_stream
-    assert classic.oks == batched.oks == 24
-    assert batched.pool_outstanding == 0
-    if mmsg_available():
-        assert batched.wire_stats is not None and batched.wire_stats.mmsg
+    ))
+    _assert_clean_delivery(report, 24)
+    assert report.crashes_t == 1 and report.crashes_r == 1
 
 
 def test_crash_amnesia_does_not_leak_pool_buffers():
@@ -289,7 +239,6 @@ def test_crash_amnesia_does_not_leak_pool_buffers():
     # pooled send buffers were in flight at the crash must still come
     # home by teardown.  This is the §15 hygiene invariant.
     report = run_live_scenario(_scenario(
-        "batched",
         messages=20,
         plan=FaultPlan.of(CrashAt(step=15, station="T"),
                           CrashAt(step=40, station="R")),
@@ -299,23 +248,3 @@ def test_crash_amnesia_does_not_leak_pool_buffers():
     assert report.crashes_t == 1 and report.crashes_r == 1
     assert report.pool_outstanding == 0
     assert report.pool_high_water >= 1  # the pool actually carried traffic
-
-
-# -- the pump (bench leg) --------------------------------------------------------
-
-
-@pytest.mark.parametrize("wire", ["classic", "batched"])
-def test_wire_pump_delivers_full_workload(wire):
-    report = run_wire_pump(wire=wire, messages=600, lanes=4, window=8,
-                           timeout=30.0)
-    assert report.messages == 600
-    assert report.messages_per_second > 0
-    if wire == "batched":
-        assert report.pool_outstanding == 0
-        stats = report.wire_stats
-        # Every message crosses four sockets: sender→relay, relay→receiver,
-        # and the poll back through both — exact accounting, no loss.
-        assert stats.datagrams_received == 4 * 600
-        assert stats.datagrams_sent == 4 * 600
-        assert stats.send_errors == 0
-        assert stats.mmsg is mmsg_available()

@@ -135,6 +135,10 @@ class TestCampaignCommand:
         campaigns = list((tmp_path / "artifacts").iterdir())
         assert len(campaigns) == 1
 
+    def test_zero_runs_is_a_one_line_error(self):
+        with pytest.raises(SystemExit, match="runs must be >= 1"):
+            main(["campaign", "--runs", "0", "--jobs", "1"])
+
 
 class TestShrinkCommand:
     def test_shrink_reports_minimal_repro(self, tmp_path, capsys):
@@ -213,6 +217,15 @@ class TestLiveCommand:
     def test_bad_rates_rejected(self):
         with pytest.raises(SystemExit):
             main(["live", "--drop", "1.5"])
+
+    def test_too_many_lanes_rejected(self):
+        with pytest.raises(SystemExit, match="lanes must be in"):
+            main(["live", "--lanes", "65"])
+
+    def test_wire_option_is_gone(self):
+        # One socket layer: there is no wire mode left to pick.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["live", "--wire", "batched"])
 
 
 class TestSweepRelayCommand:
